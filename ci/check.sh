@@ -30,6 +30,10 @@ diff -u lint-baseline.toml "$LINT_BASELINE"
 
 cargo build --release --workspace
 cargo test --workspace -q
+# The benchmark harness sits outside the workspace (it has its own
+# [workspace] and Cargo.lock) but builds against crates/* by path: build
+# and test it too, so an API change that breaks it fails here.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Solver smoke check: solve the MWD assignment MILP warm and cold

@@ -321,8 +321,14 @@ struct CacheEntry {
     last_used: u64,
 }
 
+type CacheSlot = (&'static str, ContentKey);
+
 struct CacheInner {
-    map: BTreeMap<(&'static str, ContentKey), CacheEntry>,
+    map: BTreeMap<CacheSlot, CacheEntry>,
+    /// Recency index: each entry's `last_used` tick → its slot. Ticks are
+    /// unique, so the first entry is always the LRU victim and eviction
+    /// costs `O(log n)` instead of a scan of the whole map.
+    recency: BTreeMap<u64, CacheSlot>,
     tick: u64,
     // Counters live *inside* the lock-protected state, not in separate
     // atomics: a `stats` snapshot taken under the lock is then coherent
@@ -375,6 +381,7 @@ impl ArtifactCache {
             capacity: capacity.max(1),
             inner: Mutex::new(CacheInner {
                 map: BTreeMap::new(),
+                recency: BTreeMap::new(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
@@ -403,8 +410,10 @@ impl ArtifactCache {
         inner.gets += 1;
         match inner.map.get_mut(&(stage, key)) {
             Some(entry) => {
-                entry.last_used = tick;
+                let previous = std::mem::replace(&mut entry.last_used, tick);
                 let value = entry.value.clone();
+                inner.recency.remove(&previous);
+                inner.recency.insert(tick, (stage, key));
                 inner.hits += 1;
                 drop(inner);
                 Ok(Some(value))
@@ -441,13 +450,17 @@ impl ArtifactCache {
         match inner.map.get_mut(&(stage, key)) {
             Some(entry) => match entry.value.clone().downcast::<T>() {
                 Ok(value) => {
-                    entry.last_used = tick;
+                    let previous = std::mem::replace(&mut entry.last_used, tick);
+                    inner.recency.remove(&previous);
+                    inner.recency.insert(tick, (stage, key));
                     inner.hits += 1;
                     drop(inner);
                     Ok(Some(value))
                 }
                 Err(_) => {
+                    let previous = entry.last_used;
                     inner.map.remove(&(stage, key));
+                    inner.recency.remove(&previous);
                     inner.misses += 1;
                     inner.evictions += 1;
                     drop(inner);
@@ -477,29 +490,26 @@ impl ArtifactCache {
         let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
         inner.tick += 1;
         let tick = inner.tick;
-        inner.map.insert(
+        let replaced = inner.map.insert(
             (stage, key),
             CacheEntry {
                 value,
                 last_used: tick,
             },
         );
+        if let Some(old) = replaced {
+            inner.recency.remove(&old.last_used);
+        }
+        inner.recency.insert(tick, (stage, key));
         let mut evicted = 0u64;
         while inner.map.len() > self.capacity {
-            // The use ticks are strictly monotonic, so the victim is
-            // unique and independent of map iteration order.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    evicted += 1;
-                }
-                None => break,
-            }
+            // The use ticks are strictly monotonic, so the victim — the
+            // smallest tick — is unique and independent of map order.
+            let Some((_, victim)) = inner.recency.pop_first() else {
+                break;
+            };
+            inner.map.remove(&victim);
+            evicted += 1;
         }
         inner.evictions += evicted;
         drop(inner);
@@ -1003,6 +1013,52 @@ mod tests {
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.misses, 2);
         assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn recency_index_evicts_exactly_the_min_tick_victims() {
+        // A seeded get/insert sequence against a naive model that scans
+        // for the smallest use tick: after every operation both must hold
+        // the same keys, so every victim matched.
+        const CAPACITY: usize = 8;
+        let cache = ArtifactCache::new(CAPACITY);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new(); // key → tick
+        let mut tick = 0u64;
+        let mut evictions = 0u64;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            // xorshift64*: a fixed seed gives a fixed sequence.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32
+        };
+        for _ in 0..4000 {
+            let (op, n) = (next() % 3, next() % 24);
+            let key = ContentKey([n, 0]);
+            tick += 1;
+            if op == 0 {
+                cache.insert("s", key, Arc::new(n)).unwrap();
+                model.insert(n, tick);
+                while model.len() > CAPACITY {
+                    let (&victim, _) = model.iter().min_by_key(|(_, t)| **t).unwrap();
+                    model.remove(&victim);
+                    evictions += 1;
+                }
+            } else {
+                let hit = cache.get("s", key).unwrap().is_some();
+                assert_eq!(hit, model.contains_key(&n));
+                if let Some(t) = model.get_mut(&n) {
+                    *t = tick;
+                }
+            }
+            let inner = cache.inner.lock().unwrap();
+            let held: Vec<u64> = inner.map.keys().map(|(_, k)| k.0[0]).collect();
+            assert_eq!(held, model.keys().copied().collect::<Vec<_>>());
+            assert_eq!(inner.recency.len(), inner.map.len());
+        }
+        assert_eq!(cache.stats().evictions, evictions);
+        assert!(evictions > 100, "sequence must exercise eviction");
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //! finite positive bandwidths) and returns the edited graph; the input
 //! graph is never mutated, so callers can keep every revision alive (e.g.
 //! for a from-scratch bit-identity check against the incremental path).
+//!
+//! Edits also have a compact text form, the one the command-line tools
+//! take after `--delta`: `add:SRC,DST,BW`, `remove:ID`,
+//! `retarget:ID,SRC,DST` or `scale:ID,FACTOR`, where IDs are stable
+//! message ids and SRC/DST node indices (see [`CommDelta::from_str`]).
 
 use crate::comm::{CommGraph, Message, MessageId, StableMessageId};
 use crate::node::NodeId;
 use std::fmt;
+use std::str::FromStr;
 
 /// One edit to a [`CommGraph`]'s message set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,6 +80,61 @@ impl fmt::Display for CommDelta {
         }
     }
 }
+
+impl FromStr for CommDelta {
+    type Err = ParseDeltaError;
+
+    /// Parses the compact text form (see the module docs). Only the
+    /// syntax is checked; whether the ids and nodes exist, and whether
+    /// the bandwidth is valid, is [`CommGraph::apply_delta`]'s concern.
+    fn from_str(spec: &str) -> Result<Self, Self::Err> {
+        let bad = || ParseDeltaError {
+            spec: spec.to_string(),
+        };
+        let (kind, rest) = spec.split_once(':').ok_or_else(bad)?;
+        let parts: Vec<&str> = rest.split(',').collect();
+        let node = |v: &str| v.parse::<usize>().map(NodeId).map_err(|_| bad());
+        let id = |v: &str| v.parse::<u64>().map(StableMessageId).map_err(|_| bad());
+        let num = |v: &str| v.parse::<f64>().map_err(|_| bad());
+        match (kind, parts.as_slice()) {
+            ("add", [src, dst, bw]) => Ok(CommDelta::AddMessage {
+                src: node(src)?,
+                dst: node(dst)?,
+                bandwidth: num(bw)?,
+            }),
+            ("remove", [msg]) => Ok(CommDelta::RemoveMessage { id: id(msg)? }),
+            ("retarget", [msg, src, dst]) => Ok(CommDelta::Retarget {
+                id: id(msg)?,
+                src: node(src)?,
+                dst: node(dst)?,
+            }),
+            ("scale", [msg, factor]) => Ok(CommDelta::ScaleBandwidth {
+                id: id(msg)?,
+                factor: num(factor)?,
+            }),
+            _ => Err(bad()),
+        }
+    }
+}
+
+/// A malformed [`CommDelta`] text form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseDeltaError {
+    spec: String,
+}
+
+impl fmt::Display for ParseDeltaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "malformed delta `{}` (want add:SRC,DST,BW, remove:ID, \
+             retarget:ID,SRC,DST or scale:ID,FACTOR)",
+            self.spec
+        )
+    }
+}
+
+impl std::error::Error for ParseDeltaError {}
 
 /// Error applying a [`CommDelta`]; the graph is left untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,6 +288,53 @@ mod tests {
             .message(NodeId(1), NodeId(2))
             .build()
             .expect("valid graph")
+    }
+
+    #[test]
+    fn text_form_parses_every_kind_and_rejects_malformed_specs() {
+        let parse = |spec: &str| spec.parse::<CommDelta>();
+        assert_eq!(
+            parse("add:1,2,1.5"),
+            Ok(CommDelta::AddMessage {
+                src: NodeId(1),
+                dst: NodeId(2),
+                bandwidth: 1.5
+            })
+        );
+        assert_eq!(
+            parse("remove:4"),
+            Ok(CommDelta::RemoveMessage {
+                id: StableMessageId(4)
+            })
+        );
+        assert_eq!(
+            parse("retarget:3,0,5"),
+            Ok(CommDelta::Retarget {
+                id: StableMessageId(3),
+                src: NodeId(0),
+                dst: NodeId(5)
+            })
+        );
+        assert_eq!(
+            parse("scale:2,0.5"),
+            Ok(CommDelta::ScaleBandwidth {
+                id: StableMessageId(2),
+                factor: 0.5
+            })
+        );
+        for bad in [
+            "",
+            "add:1,2",
+            "add:1,2,3,4",
+            "remove:x",
+            "remove:-1",
+            "frob:1",
+            "retarget:1,2",
+            "scale:1,fast",
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.to_string().contains(&format!("`{bad}`")), "{err}");
+        }
     }
 
     #[test]

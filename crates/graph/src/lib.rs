@@ -33,6 +33,6 @@ pub mod placement;
 pub mod synth;
 
 pub use comm::{BuildGraphError, CommGraph, CommGraphBuilder, Message, MessageId, StableMessageId};
-pub use delta::{CommDelta, DeltaError};
+pub use delta::{CommDelta, DeltaError, ParseDeltaError};
 pub use node::{NodeId, Point};
 pub use placement::GridPlacement;

@@ -15,7 +15,7 @@
 
 use crate::model::{Model, ModelError, VarType};
 use crate::simplex::{
-    solve_lp_warm, Basis, LpEngine, LpOptions, LpProblem, LpRow, LpStatus, SimplexWorkspace,
+    solve_lp_warm, Basis, LpOptions, LpProblem, LpRow, LpStatus, SimplexWorkspace,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,9 +40,6 @@ pub struct SolveOptions {
     /// validates against the model it becomes the initial incumbent,
     /// letting the search prune from the start.
     pub warm_start: Option<Vec<f64>>,
-    /// Stop when `(incumbent − bound) ≤ gap · max(1, |incumbent|)`.
-    /// Zero (the default) demands full optimality.
-    pub relative_gap: f64,
     /// Run the conservative presolve reductions before the search
     /// (default `true`; see the [`presolve`](mod@crate::presolve) module).
     pub presolve: bool,
@@ -50,35 +47,12 @@ pub struct SolveOptions {
     /// serially on the calling thread; `0` uses one worker per available
     /// core; any other value that many workers.
     pub threads: usize,
-    /// Deterministic parallel mode (default `true`): nodes are ordered by
-    /// the fixed `(bound, depth, id)` tie-break in the shared pool and
-    /// incumbent replacement requires strict improvement, so a search
-    /// that runs to completion returns exactly the serial objective.
-    /// `false` lets each worker dive on one child locally (plunging) —
-    /// less pool contention, but exploration departs from global
-    /// best-first, so anytime results under limits may differ.
-    pub deterministic: bool,
     /// Inherit each parent node's optimal basis and re-optimize child LP
     /// relaxations with the dual simplex instead of a cold two-phase start
     /// (default `true`; see [`crate::simplex::solve_lp_warm`]). Disable to
     /// measure the cold-start baseline. Either setting reaches the same
-    /// optima — warm starting only changes how each node LP is solved, so
-    /// it is safe in deterministic mode too.
+    /// optima — warm starting only changes how each node LP is solved.
     pub warm_basis: bool,
-    /// Which LP engine solves the node relaxations (default
-    /// [`LpEngine::Sparse`]; the dense tableau is retained as a reference
-    /// implementation). Both engines honor the same warm-start and
-    /// determinism contracts.
-    pub lp_engine: LpEngine,
-    /// A basis snapshot from a prior solve — typically
-    /// [`MilpSolution::root_basis`] of a structurally similar model — used
-    /// to warm-start the *root* LP relaxation when `warm_basis` is on.
-    /// Like per-node basis inheritance, this only changes how the root LP
-    /// is solved, never which optimum the search proves: the snapshot's
-    /// validity (column count, row count, nonsingularity, dual
-    /// feasibility) is re-checked on load and any mismatch falls back to
-    /// the cold start.
-    pub root_basis: Option<Arc<Basis>>,
 }
 
 impl Default for SolveOptions {
@@ -87,13 +61,9 @@ impl Default for SolveOptions {
             time_limit: None,
             node_limit: None,
             warm_start: None,
-            relative_gap: 0.0,
             presolve: true,
             threads: 1,
-            deterministic: true,
             warm_basis: true,
-            lp_engine: LpEngine::default(),
-            root_basis: None,
         }
     }
 }
@@ -147,21 +117,6 @@ impl SolveOptions {
         self
     }
 
-    /// Selects the LP engine for node relaxations (default sparse).
-    #[must_use]
-    pub fn with_lp_engine(mut self, lp_engine: LpEngine) -> Self {
-        self.lp_engine = lp_engine;
-        self
-    }
-
-    /// Seeds the root LP relaxation with a surviving basis snapshot from a
-    /// prior solve (see [`SolveOptions::root_basis`]).
-    #[must_use]
-    pub fn with_root_basis(mut self, basis: Arc<Basis>) -> Self {
-        self.root_basis = Some(basis);
-        self
-    }
-
     /// The resolved worker count: `threads`, with `0` mapped to the
     /// machine's available parallelism.
     #[must_use]
@@ -173,7 +128,7 @@ impl SolveOptions {
 /// How the search ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
-    /// The incumbent is proven optimal (within the requested gap).
+    /// The incumbent is proven optimal.
     Optimal,
     /// A limit was reached; the incumbent is feasible but not proven
     /// optimal.
@@ -343,7 +298,6 @@ pub struct MilpSolution {
     values: Vec<f64>,
     nodes_explored: usize,
     stats: SolveStats,
-    root_basis: Option<Arc<Basis>>,
 }
 
 impl MilpSolution {
@@ -400,17 +354,6 @@ impl MilpSolution {
     #[must_use]
     pub fn stats(&self) -> &SolveStats {
         &self.stats
-    }
-
-    /// The optimal basis of the root LP relaxation, captured when the
-    /// search branched at the root with basis inheritance enabled (`None`
-    /// when the root solved integrally, was pruned, or `warm_basis` was
-    /// off). Feed it to [`SolveOptions::with_root_basis`] on a later solve
-    /// of a structurally similar model — an incremental re-solve after a
-    /// small edit — to start that root LP from this optimum.
-    #[must_use]
-    pub fn root_basis(&self) -> Option<&Arc<Basis>> {
-        self.root_basis.as_ref()
     }
 }
 
@@ -694,7 +637,6 @@ pub(crate) fn evaluate_node(
     let lp_options = LpOptions {
         deadline: ctx.deadline,
         capture_basis: ctx.options.warm_basis,
-        engine: ctx.options.lp_engine,
     };
     let warm = if ctx.options.warm_basis {
         node.basis.as_deref()
@@ -787,7 +729,6 @@ pub(crate) fn evaluate_node(
         let sb_options = LpOptions {
             deadline: ctx.deadline,
             capture_basis: false,
-            engine: ctx.options.lp_engine,
         };
         let warm_root = result.basis.as_ref();
         let mut best: Option<(usize, f64)> = None;
@@ -927,9 +868,6 @@ pub(crate) struct SearchEnd {
     pub(crate) root_unbounded: bool,
     pub(crate) root_iteration_limit: bool,
     pub(crate) stats: SolveStats,
-    /// The root node's optimal basis, when it was captured (see
-    /// [`MilpSolution::root_basis`]).
-    pub(crate) root_basis: Option<Arc<Basis>>,
 }
 
 pub(crate) fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelError> {
@@ -939,7 +877,6 @@ pub(crate) fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSoluti
     if end.root_unbounded && end.incumbent.is_none() {
         return Err(ModelError::Unbounded);
     }
-    let options = ctx.options;
     match end.incumbent {
         Some((obj, values)) => {
             let exhausted = end.open_bound.is_infinite() && !end.limit_hit;
@@ -948,12 +885,11 @@ pub(crate) fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSoluti
             } else {
                 end.open_bound.min(obj)
             };
-            let status =
-                if exhausted || obj - bound <= options.relative_gap * obj.abs().max(1.0) + 1e-9 {
-                    Status::Optimal
-                } else {
-                    Status::Feasible
-                };
+            let status = if exhausted || obj - bound <= 1e-9 {
+                Status::Optimal
+            } else {
+                Status::Feasible
+            };
             let mut stats = end.stats;
             stats.nodes_explored = end.nodes_explored;
             Ok(MilpSolution {
@@ -963,7 +899,6 @@ pub(crate) fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSoluti
                 values,
                 nodes_explored: end.nodes_explored,
                 stats,
-                root_basis: end.root_basis,
             })
         }
         None => {
@@ -1027,14 +962,7 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
         depth: 0,
         seq: 0,
         changes: None,
-        // A surviving snapshot from a prior solve seeds the root LP; it is
-        // re-validated on load, so a stale or mismatched basis just cold
-        // starts.
-        basis: if options.warm_basis {
-            options.root_basis.clone()
-        } else {
-            None
-        },
+        basis: None,
         frac: 0.0,
     };
 
@@ -1045,14 +973,12 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
     } else {
         search_serial(&ctx, root, incumbent)
     };
-    // In deterministic mode a search-found optimum is re-derived as a pure
-    // function of the model (see `polish_canonical`): among tied optima,
-    // which one the search happens to keep depends on worker timing in
-    // parallel mode and on warm hints (root basis, prior incumbents)
-    // carried in from earlier solves, so the raw incumbent vector is not
-    // reproducible even though its objective is. A warm-start incumbent
-    // the search never improved is returned as-is — it came from the
-    // caller, not from the search.
+    // A search-found optimum is re-derived as a pure function of the model
+    // (see `polish_canonical`): among tied optima, which one the search
+    // happens to keep depends on worker timing in parallel mode, so the
+    // raw incumbent vector is not reproducible even though its objective
+    // is. A warm-start incumbent the search never improved is returned
+    // as-is — it came from the caller, not from the search.
     let search_found = match (&end.incumbent, warm_obj) {
         (Some((obj, _)), Some(w)) => *obj < w - 1e-12,
         (Some(_), None) => true,
@@ -1061,10 +987,9 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
     let polish_target = end.incumbent.as_ref().map(|(obj, _)| *obj);
     let mut sol = assemble(&ctx, end)?;
     // A single-node solve (pure LP, or an integral root) is already a
-    // pure function of the model unless a warm root basis steered the
-    // simplex to one of several optimal vertices — skip the polish there.
-    let root_only = sol.nodes_explored == 1 && options.root_basis.is_none();
-    if options.deterministic && search_found && !root_only && sol.status() == Status::Optimal {
+    // pure function of the model — skip the polish there.
+    let root_only = sol.nodes_explored == 1;
+    if search_found && !root_only && sol.status() == Status::Optimal {
         if let Some(target) = polish_target {
             if let Some((values, nodes)) = polish_canonical(&ctx, target, &mut sol.stats) {
                 sol.objective = model.objective.evaluate(&values);
@@ -1081,18 +1006,17 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
 }
 
 /// Re-derives a proven-optimal solution vector as a pure function of the
-/// model, erasing the timing and warm-hint dependence of the search's own
-/// incumbent. A fresh serial best-first pass, seeded with the proven
-/// objective `target`, prunes every strictly worse subtree (ties survive
-/// the `1e-9` tolerance) and accepts the first integral solution matching
-/// `target` in the fixed `(bound, depth, seq)` order — the same canonical
-/// vector on every run and every thread count. The pass starts cold
-/// (no root basis, fresh pseudocosts) so nothing from the search or from
-/// prior solves can steer it. On success returns the vector together with
-/// the pass's node count, which the caller folds into the explored total.
-/// Returns `None` — keep the search's own
-/// incumbent, forfeiting reproducibility — when a deadline, the node
-/// limit, or LP trouble interrupts the pass; with pruning at full
+/// model, erasing the timing dependence of the search's own incumbent. A
+/// fresh serial best-first pass, seeded with the proven objective
+/// `target`, prunes every strictly worse subtree (ties survive the `1e-9`
+/// tolerance) and accepts the first integral solution matching `target`
+/// in the fixed `(bound, depth, seq)` order — the same canonical vector on
+/// every run and every thread count. The pass starts cold (no root basis,
+/// fresh pseudocosts) so nothing from the search can steer it. On success
+/// returns the vector together with the pass's node count, which the
+/// caller folds into the explored total. Returns `None` — keep the
+/// search's own incumbent, forfeiting reproducibility — when a deadline,
+/// the node limit, or LP trouble interrupts the pass; with pruning at full
 /// strength from the first node the pass is far cheaper than the
 /// optimality proof that preceded it, so that is a deadline-pressure
 /// corner, not the norm.
@@ -1172,15 +1096,13 @@ fn search_serial(
     let mut lost_bound = f64::INFINITY;
     let mut root_unbounded = false;
     let mut root_iteration_limit = false;
-    let mut root_basis: Option<Arc<Basis>> = None;
 
     while let Some(node) = heap.pop() {
         // Prune against the incumbent (best-first: once the best open bound
         // cannot improve, the search is done).
         if let Some((inc_obj, _)) = &incumbent {
-            let gap_ok =
-                *inc_obj - node.bound <= ctx.options.relative_gap * inc_obj.abs().max(1.0) + 1e-9;
-            if node.bound >= *inc_obj - 1e-9 || gap_ok {
+            // Both forms of the 1e-9 test: they round differently.
+            if node.bound >= *inc_obj - 1e-9 || *inc_obj - node.bound <= 1e-9 {
                 break;
             }
         }
@@ -1230,9 +1152,6 @@ fn search_serial(
                 x,
                 basis,
             } => {
-                if node.depth == 0 {
-                    root_basis.clone_from(&basis);
-                }
                 let bounds_var = (scratch.lower[var], scratch.upper[var]);
                 let (down, up) =
                     make_children(&node, var, x, lp_obj, bounds_var, basis, &mut next_seq);
@@ -1258,7 +1177,6 @@ fn search_serial(
         root_unbounded,
         root_iteration_limit,
         stats: scratch.stats,
-        root_basis,
     }
 }
 
@@ -1585,8 +1503,8 @@ mod tests {
             }
         }
 
-        /// The parallel search must return the serial objective on every
-        /// random program, in deterministic mode and with plunging.
+        /// The parallel search must return the serial solution vector —
+        /// not just its objective — on every random program.
         #[test]
         fn prop_parallel_matches_serial(
             n in 2usize..7,
@@ -1595,19 +1513,17 @@ mod tests {
             ),
             cost in proptest::collection::vec(-5i8..6, 6),
             threads in 2usize..5,
-            deterministic in proptest::arbitrary::any::<bool>(),
         ) {
             let m = random_model(n, &rows, &cost);
             let serial = m.solve(&SolveOptions::default());
-            let mut options = SolveOptions::default().with_threads(threads);
-            options.deterministic = deterministic;
-            let parallel = m.solve(&options);
+            let parallel = m.solve(&SolveOptions::default().with_threads(threads));
             match (serial, parallel) {
                 (Ok(s), Ok(p)) => {
                     proptest::prop_assert!(
                         (s.objective() - p.objective()).abs() < 1e-6,
                         "serial {} vs parallel {}", s.objective(), p.objective()
                     );
+                    proptest::prop_assert_eq!(s.values(), p.values());
                     proptest::prop_assert_eq!(s.status(), p.status());
                     proptest::prop_assert!(m.is_feasible(p.values(), 1e-6));
                 }
@@ -1660,6 +1576,37 @@ mod tests {
             );
             assert!(m.is_feasible(sol.values(), 1e-6));
         }
+    }
+
+    #[test]
+    fn integer_model_parallel_matches_serial() {
+        // General integers (not just binaries) under four workers.
+        let build = || {
+            let mut m = Model::new();
+            let vars: Vec<_> = (0..10)
+                .map(|i| {
+                    m.add_var(VarType::Integer, 0.0, 4.0, format!("v{i}"))
+                        .unwrap()
+                })
+                .collect();
+            for w in vars.windows(2) {
+                m.add_constraint([(w[0], 1.0), (w[1], 2.0)], Sense::Le, 7.0)
+                    .unwrap();
+            }
+            let obj: Vec<_> = vars
+                .iter()
+                .zip([1.0, 2.0, 3.0].into_iter().cycle())
+                .map(|(&v, c)| (v, -c))
+                .collect();
+            m.set_objective(obj);
+            m
+        };
+        let serial = build().solve(&SolveOptions::default()).unwrap();
+        let parallel = build()
+            .solve(&SolveOptions::default().with_threads(4))
+            .unwrap();
+        assert!((serial.objective() - parallel.objective()).abs() < 1e-9);
+        assert_eq!(serial.values(), parallel.values());
     }
 
     #[test]

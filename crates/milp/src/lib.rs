@@ -11,8 +11,8 @@
 //!   refactorize-on-drift, partial pricing and a Harris two-pass ratio
 //!   test — with bounded variables handled natively (bound flips, no
 //!   extra rows) and Bland's-rule anti-cycling; the original dense
-//!   two-phase tableau is retained as a cross-checked reference engine
-//!   ([`simplex::LpEngine`]),
+//!   two-phase tableau survives only in the test build, as the reference
+//!   engine the sparse one is cross-checked against,
 //! * a warm-startable **dual simplex** that re-optimizes a parent-optimal
 //!   basis after a bound tightening — the move branch and bound makes at
 //!   every child node — with a bound-flipping ratio test and automatic
@@ -56,6 +56,8 @@
 #![warn(missing_docs)]
 
 pub mod branch_bound;
+#[cfg(test)]
+mod dense;
 pub mod expr;
 pub mod io;
 mod lu;
@@ -71,4 +73,4 @@ pub use branch_bound::{MilpSolution, SolveOptions, SolveStats, Status};
 pub use expr::{LinExpr, Var};
 pub use model::{Model, ModelError, Sense, VarType};
 pub use presolve::{presolve, Presolved};
-pub use simplex::{Basis, LpEngine};
+pub use simplex::Basis;

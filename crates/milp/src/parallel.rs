@@ -4,8 +4,9 @@
 //! `(bound, depth, id)` ordering as the serial search) lives behind one
 //! mutex together with the incumbent and the search counters. Workers pop
 //! a node, solve its LP relaxation *outside* the lock — each worker owns a
-//! reusable [`crate::simplex::SimplexWorkspace`], so the tableau is allocated once per
-//! thread, not once per node — and re-lock only to apply the outcome.
+//! reusable [`crate::simplex::SimplexWorkspace`], so the factorization
+//! buffers are allocated once per thread, not once per node — and re-lock
+//! only to apply the outcome.
 //!
 //! The incumbent objective is mirrored into an [`AtomicU64`] (its `f64`
 //! bit pattern) so a worker about to start an LP solve can read the
@@ -16,13 +17,11 @@
 //! is mid-evaluation (`in_flight == 0`) — an in-flight node may still
 //! push children. Workers with nothing to do park on a [`Condvar`].
 //!
-//! In deterministic mode (the default) every child goes through the
-//! shared pool, so the set of explored subtrees is governed purely by
-//! bounds and the search provably returns the serial objective whenever
-//! it runs to completion. With `deterministic = false` each worker keeps
-//! the down-child of a branching local and dives on it (plunging), which
-//! reduces pool contention at the cost of departing from global
-//! best-first order.
+//! Every child goes through the shared pool, so the set of explored
+//! subtrees is governed purely by bounds and the search provably returns
+//! the serial objective whenever it runs to completion; the canonical
+//! polish in [`crate::branch_bound`] then makes the returned vector
+//! independent of the thread count too.
 
 use crate::branch_bound::{
     evaluate_node, make_children, Node, NodeOutcome, SearchCtx, SearchEnd, SolveStats,
@@ -55,16 +54,13 @@ struct SearchState {
     nodes_explored: usize,
     limit_hit: bool,
     /// Minimum bound over subtrees dropped without exploration (LP
-    /// trouble, gap-based early stopping).
+    /// trouble, tolerance-based early stopping).
     lost_bound: f64,
     root_unbounded: bool,
     root_iteration_limit: bool,
     done: bool,
     /// Per-worker LP/pivot counters, merged in as each worker exits.
     stats: SolveStats,
-    /// The root node's optimal basis, captured by whichever worker
-    /// branched at depth 0 (see `MilpSolution::root_basis`).
-    root_basis: Option<std::sync::Arc<crate::simplex::Basis>>,
 }
 
 struct Shared {
@@ -82,23 +78,24 @@ impl Shared {
     }
 }
 
-/// Why a popped (or locally held) node is being discarded unexplored.
+/// Why a popped node is being discarded unexplored.
 enum Drop {
     /// Bound within `1e-9` of the incumbent: cannot meaningfully improve.
     /// Not folded into the reported bound (same tolerance the serial
     /// search accepts when it stops on a pruned pool top).
     Prune,
-    /// Within the requested relative gap: intentionally left open, so its
-    /// bound must weaken the reported one.
+    /// Within `1e-9` of the incumbent by difference but not by the prune
+    /// test above (the two round differently): left open, so its bound
+    /// weakens the reported one.
     Gap,
 }
 
-fn drop_reason(state: &SearchState, ctx: &SearchCtx<'_>, node: &Node) -> Option<Drop> {
+fn drop_reason(state: &SearchState, node: &Node) -> Option<Drop> {
     let (inc_obj, _) = state.incumbent.as_ref()?;
     if node.bound >= *inc_obj - 1e-9 {
         return Some(Drop::Prune);
     }
-    if *inc_obj - node.bound <= ctx.options.relative_gap * inc_obj.abs().max(1.0) + 1e-9 {
+    if *inc_obj - node.bound <= 1e-9 {
         return Some(Drop::Gap);
     }
     None
@@ -130,7 +127,6 @@ pub(crate) fn search(
             root_iteration_limit: false,
             done: false,
             stats: SolveStats::default(),
-            root_basis: None,
         }),
         cvar: Condvar::new(),
         best_obj_bits: AtomicU64::new(best_bits),
@@ -162,15 +158,11 @@ pub(crate) fn search(
         root_unbounded: state.root_unbounded,
         root_iteration_limit: state.root_iteration_limit,
         stats: state.stats,
-        root_basis: state.root_basis,
     })
 }
 
 fn worker(ctx: &SearchCtx<'_>, shared: &Shared) {
     let mut scratch = WorkerScratch::new();
-    // The node this worker is diving on (plunging mode only). Invariant:
-    // while `local` is `Some`, this worker is counted in `in_flight`.
-    let mut local: Option<Node> = None;
 
     'outer: loop {
         // Acquire a node to evaluate. A poisoned lock means another
@@ -182,46 +174,11 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared) {
                 return;
             };
             loop {
-                if let Some(node) = local.take() {
-                    // A locally held dive node: re-check against the
-                    // (possibly improved) incumbent and the limits before
-                    // committing more work to it.
-                    if state.done {
-                        state.heap.push(node);
-                        state.in_flight -= 1;
-                        shared.cvar.notify_all();
-                        break 'outer;
-                    }
-                    match drop_reason(&state, ctx, &node) {
-                        Some(Drop::Prune) => {
-                            state.in_flight -= 1;
-                            finish_if_idle(&mut state, shared);
-                            continue;
-                        }
-                        Some(Drop::Gap) => {
-                            state.lost_bound = state.lost_bound.min(node.bound);
-                            state.in_flight -= 1;
-                            finish_if_idle(&mut state, shared);
-                            continue;
-                        }
-                        None => {}
-                    }
-                    if ctx.time_limit_reached() || ctx.node_limit_reached(state.nodes_explored) {
-                        state.limit_hit = true;
-                        state.heap.push(node);
-                        state.in_flight -= 1;
-                        state.done = true;
-                        shared.cvar.notify_all();
-                        break 'outer;
-                    }
-                    state.nodes_explored += 1;
-                    break node;
-                }
                 if state.done {
                     break 'outer;
                 }
                 if let Some(node) = state.heap.pop() {
-                    match drop_reason(&state, ctx, &node) {
+                    match drop_reason(&state, &node) {
                         Some(Drop::Prune) => continue,
                         Some(Drop::Gap) => {
                             state.lost_bound = state.lost_bound.min(node.bound);
@@ -297,9 +254,6 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared) {
                 x,
                 basis,
             } => {
-                if node.depth == 0 {
-                    state.root_basis.clone_from(&basis);
-                }
                 let bounds_var = (scratch.lower[var], scratch.upper[var]);
                 let (down, up) = make_children(
                     &node,
@@ -314,19 +268,11 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared) {
                     state.heap.push(child);
                 }
                 if let Some(child) = down {
-                    if ctx.options.deterministic || state.done {
-                        state.heap.push(child);
-                    } else {
-                        // Plunge: dive on the down child without going
-                        // through the pool; `in_flight` stays held.
-                        local = Some(child);
-                    }
+                    state.heap.push(child);
                 }
             }
         }
-        if local.is_none() {
-            state.in_flight -= 1;
-        }
+        state.in_flight -= 1;
         finish_if_idle(&mut state, shared);
     }
 

@@ -1,11 +1,13 @@
 //! Sparse revised simplex engine: CSC column storage, LU-factorized
 //! basis with product-form updates, partial pricing, Harris ratio test.
 //!
-//! This is the default [`crate::simplex::LpEngine`]. It consumes the same
-//! [`InternalForm`] as the dense tableau and honors the same contract —
-//! warm [`Basis`] snapshots, deadline polling, deterministic scan orders,
-//! identical terminal statuses — but its per-iteration cost scales with
-//! the *nonzeros* of the constraint matrix rather than `m × n`:
+//! This is the engine behind every [`crate::simplex::solve_lp_warm`]. It
+//! consumes the [`InternalForm`] and honors the same contract as the
+//! dense tableau it replaced, which survives as a test-only reference
+//! engine — warm [`Basis`] snapshots, deadline polling, deterministic scan
+//! orders, identical terminal statuses — but its per-iteration cost
+//! scales with the *nonzeros* of the constraint matrix rather than
+//! `m × n`:
 //!
 //! * the matrix is stored once in compressed sparse column form
 //!   ([`CscMatrix`]) and never modified by pivots;
@@ -21,8 +23,8 @@
 //!   relaxes bounds by [`HARRIS_RELAX`] to widen the pivot pool, pass two
 //!   picks the largest pivot within the relaxed step — degeneracy-driven
 //!   tiny steps get a numerically safer pivot without losing
-//!   feasibility. The Bland fallback reverts to the dense engine's exact
-//!   textbook test.
+//!   feasibility. The Bland fallback reverts to the exact textbook test
+//!   the dense reference engine uses.
 //!
 //! The warm dual path mirrors the dense engine's bound-flipping ratio
 //! test (Maros; Koberstein): flips accumulate into one row-space vector

@@ -1,8 +1,8 @@
 //! Named numerical tolerances shared by the dense and sparse LP engines.
 //!
-//! Both simplex implementations ([`crate::simplex`]'s dense tableau and
-//! the private `sparse` module's revised method) must agree on what
-//! counts as zero:
+//! Both simplex implementations (the private `sparse` module's revised
+//! method and the test-only dense tableau it is checked against) must
+//! agree on what counts as zero:
 //! a pivot that one engine accepts and the other rejects would make the
 //! equivalence guarantees between them meaningless, and historically these
 //! constants were scattered as inline literals through `simplex.rs`. They

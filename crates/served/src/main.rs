@@ -30,6 +30,7 @@
 //! specs: `add:SRC,DST,BW`, `remove:ID`, `retarget:ID,SRC,DST`,
 //! `scale:ID,FACTOR` (IDs are stable message ids, nodes are indices).
 
+use onoc_graph::CommDelta;
 use onoc_served::proto::{DeltaSpec, JobSpec, Outcome, Response, StrategySpec, Workload};
 use onoc_served::server::{Server, ServerConfig};
 use onoc_served::Client;
@@ -192,32 +193,12 @@ fn connect(args: &Args) -> Result<Client, CliError> {
     Client::connect(addr).map_err(|e| CliError::runtime(format!("cannot connect to {addr}: {e}")))
 }
 
-/// One `--delta` edit: `add:SRC,DST,BW`, `remove:ID`,
-/// `retarget:ID,SRC,DST` or `scale:ID,FACTOR`.
+/// One `--delta` edit, in [`CommDelta`]'s text form (`add:SRC,DST,BW`,
+/// `remove:ID`, `retarget:ID,SRC,DST` or `scale:ID,FACTOR`).
 fn parse_delta(spec: &str) -> Result<DeltaSpec, CliError> {
-    let bad = || CliError::usage(format!("bad --delta `{spec}`"));
-    let (kind, rest) = spec.split_once(':').ok_or_else(bad)?;
-    let parts: Vec<&str> = rest.split(',').collect();
-    let int = |v: &str| v.parse::<u64>().map_err(|_| bad());
-    let num = |v: &str| v.parse::<f64>().map_err(|_| bad());
-    match (kind, parts.as_slice()) {
-        ("add", [src, dst, bw]) => Ok(DeltaSpec::Add {
-            src: int(src)?,
-            dst: int(dst)?,
-            bandwidth: num(bw)?,
-        }),
-        ("remove", [id]) => Ok(DeltaSpec::Remove { id: int(id)? }),
-        ("retarget", [id, src, dst]) => Ok(DeltaSpec::Retarget {
-            id: int(id)?,
-            src: int(src)?,
-            dst: int(dst)?,
-        }),
-        ("scale", [id, factor]) => Ok(DeltaSpec::Scale {
-            id: int(id)?,
-            factor: num(factor)?,
-        }),
-        _ => Err(bad()),
-    }
+    spec.parse::<CommDelta>()
+        .map(DeltaSpec::from)
+        .map_err(|e| CliError::usage(format!("bad --delta: {e}")))
 }
 
 fn parse_workload(args: &Args) -> Result<Workload, CliError> {

@@ -323,6 +323,31 @@ impl DeltaSpec {
     }
 }
 
+/// The wire record of a graph-level edit: the inverse of
+/// [`DeltaSpec::to_comm`].
+impl From<CommDelta> for DeltaSpec {
+    fn from(delta: CommDelta) -> Self {
+        match delta {
+            CommDelta::AddMessage {
+                src,
+                dst,
+                bandwidth,
+            } => DeltaSpec::Add {
+                src: src.0 as u64,
+                dst: dst.0 as u64,
+                bandwidth,
+            },
+            CommDelta::RemoveMessage { id } => DeltaSpec::Remove { id: id.0 },
+            CommDelta::Retarget { id, src, dst } => DeltaSpec::Retarget {
+                id: id.0,
+                src: src.0 as u64,
+                dst: dst.0 as u64,
+            },
+            CommDelta::ScaleBandwidth { id, factor } => DeltaSpec::Scale { id: id.0, factor },
+        }
+    }
+}
+
 impl Persist for DeltaSpec {
     fn persist(&self, enc: &mut Encoder) {
         match self {
@@ -991,6 +1016,31 @@ mod tests {
                 factor: 2.0,
             }
         );
+    }
+
+    #[test]
+    fn delta_specs_round_trip_through_graph_deltas() {
+        let specs = [
+            DeltaSpec::Add {
+                src: 1,
+                dst: 2,
+                bandwidth: 1.5,
+            },
+            DeltaSpec::Remove { id: 3 },
+            DeltaSpec::Retarget {
+                id: 4,
+                src: 0,
+                dst: 5,
+            },
+            DeltaSpec::Scale { id: 6, factor: 0.5 },
+        ];
+        for spec in &specs {
+            assert_eq!(&DeltaSpec::from(spec.to_comm()), spec);
+        }
+        // The daemon's `--delta` flag parses through the graph-level text
+        // form and converts with `From`.
+        let parsed: onoc_graph::CommDelta = "retarget:4,0,5".parse().unwrap();
+        assert_eq!(DeltaSpec::from(parsed), specs[2]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! End-to-end serial-vs-parallel equivalence: the full SRing pipeline
 //! with the MILP wavelength assignment, run on one worker and on many.
 //!
-//! The parallel search in deterministic mode (the default) shares one
-//! best-first node pool with a fixed tie-breaking order, so a search that
+//! The parallel search shares one best-first node pool with a fixed tie-breaking order, so a search that
 //! *runs to completion* proves the same optimum as the serial search.
 //! MWD's search completes within the budget, pinning strict equality of
 //! the proof, the objective and the wavelength count. VOPD's and MPEG's
@@ -13,8 +12,8 @@
 //! whenever both searches happen to complete.
 //!
 //! Completed searches additionally pin the exact solution *vector*, not
-//! just its objective: deterministic mode re-derives a proven optimum
-//! with a canonical serial polish pass, so tied optima cannot make the
+//! just its objective: the solver re-derives a proven optimum with a
+//! canonical serial polish pass, so tied optima cannot make the
 //! answer depend on worker timing. The edited-VOPD regression below is
 //! the graph that originally exposed that dependence.
 
