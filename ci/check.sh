@@ -48,6 +48,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 ./target/release/milp_stats "${TMPDIR:-/tmp}/BENCH_milp_vopd.json" \
     --benchmark vopd --require-optimal
 
+# Golden-design gate: the benchmark harness synthesizes the paper
+# instances cold and compares each design (content hash, laser power,
+# wavelength count) with perfbench/reference.txt. Its last output line is
+# the JSON result; any drift shows there as match_frac below 1.
+for W in paper-assign paper-cluster; do
+    PERF_JSON="${TMPDIR:-/tmp}/perfbench_$W.json"
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml \
+        --bin perfbench -- --workload "$W" --seed 1 --seconds 1 --trace 0 \
+        | tail -n 1 > "$PERF_JSON"
+    grep -q '"correct": true' "$PERF_JSON"
+    grep -q '"match_frac": {"value": 1,' "$PERF_JSON"
+done
+
 # Artifact-cache smoke check: the cached strategy sweep must record
 # cache hits, match the uncached sweep bit-for-bit, and be >= 1.5x
 # faster (the binary enforces all three and exits non-zero otherwise).

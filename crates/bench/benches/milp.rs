@@ -77,7 +77,7 @@ fn bench_branch_and_bound(c: &mut Criterion) {
     group.sample_size(10);
     // Serial baseline next to the parallel search (`--threads N`, default
     // one worker per core) on the same instances.
-    let threads = onoc_eval::par::resolve_threads(onoc_bench::threads_from_env_args());
+    let threads = onoc_ctx::resolve_threads(onoc_bench::threads_from_env_args());
     for (paths, colors) in [(8usize, 3usize), (14, 4), (20, 4)] {
         let m = coloring_model(paths, colors);
         group.bench_with_input(

@@ -29,7 +29,12 @@ use std::time::{Duration, Instant};
 /// The benchmarks whose assignment MILPs are tracked: the paper's three
 /// headline applications plus the smallest processor-memory network,
 /// added once the sparse simplex brought its model within reach.
-const TRACKED: [&str; 4] = ["MWD", "VOPD", "MPEG", "8PM-24"];
+const TRACKED: [Benchmark; 4] = [
+    Benchmark::Mwd,
+    Benchmark::Vopd,
+    Benchmark::Mpeg,
+    Benchmark::Pm8x24,
+];
 
 struct Run {
     wall_s: f64,
@@ -151,11 +156,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let mut only: Option<String> = None;
+    let mut only: Option<Benchmark> = None;
     if let Some(pos) = raw.iter().position(|a| a == "--benchmark") {
         raw.remove(pos);
         if pos < raw.len() {
-            only = Some(raw.remove(pos));
+            match raw.remove(pos).parse() {
+                Ok(b) => only = Some(b),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::from(2);
+                }
+            }
         } else {
             eprintln!("error: --benchmark needs a value");
             return ExitCode::from(2);
@@ -166,22 +177,15 @@ fn main() -> ExitCode {
         .cloned()
         .unwrap_or_else(|| "BENCH_milp.json".to_string());
 
-    let selected: Vec<Benchmark> = Benchmark::ALL
-        .into_iter()
-        .filter(|b| {
-            TRACKED.contains(&b.name())
-                && only
-                    .as_deref()
-                    .is_none_or(|o| b.name().eq_ignore_ascii_case(o))
-        })
-        .collect();
-    if selected.is_empty() {
-        eprintln!(
-            "error: no benchmark matches {:?} (tracked: {TRACKED:?})",
-            only.as_deref().unwrap_or("<all>")
-        );
-        return ExitCode::from(2);
-    }
+    let selected: Vec<Benchmark> = match only {
+        None => TRACKED.to_vec(),
+        Some(b) if TRACKED.contains(&b) => vec![b],
+        Some(b) => {
+            let tracked = TRACKED.map(Benchmark::name).join(", ");
+            eprintln!("error: {b} is not tracked (tracked: {tracked})");
+            return ExitCode::from(2);
+        }
+    };
 
     println!(
         "{:<8} {:>8} {:>8} {:>12} {:>12} {:>7} {:>9}",

@@ -82,7 +82,7 @@ pub fn harness_benchmarks() -> Vec<Benchmark> {
 /// Removes a `--threads N` / `--threads=N` flag from `args` and returns
 /// the requested worker count. Absent or malformed → `0`, which every
 /// harness entry point resolves to one worker per available core (see
-/// [`onoc_eval::par::resolve_threads`]).
+/// [`onoc_ctx::resolve_threads`]).
 pub fn take_threads_flag(args: &mut Vec<String>) -> usize {
     if let Some(pos) = args.iter().position(|a| a == "--threads") {
         let value = args.get(pos + 1).and_then(|v| v.parse().ok());

@@ -21,6 +21,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Duration;
 
+/// Marks a path that has no wavelength yet in a partial assignment; the
+/// Eq. 8 evaluator and the splitter rule skip such entries.
+const UNASSIGNED: Wavelength = Wavelength(usize::MAX);
+
 /// One signal path as seen by the wavelength assigner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssignPath {
@@ -87,17 +91,28 @@ impl AssignmentProblem {
         &self.conflicts[i]
     }
 
-    /// Evaluates the paper's Eq. 8 objective (α = β = γ = 1) for a complete
-    /// wavelength vector.
+    /// Evaluates the paper's Eq. 8 objective (α = β = γ = 1) for a
+    /// wavelength vector. Entries equal to `Wavelength(usize::MAX)` count
+    /// as unassigned and are left out, so a partial vector scores as the
+    /// sub-problem of its assigned paths.
     ///
     /// # Panics
     ///
     /// Panics if `wavelengths.len()` differs from the path count.
     #[must_use]
     pub fn objective(&self, wavelengths: &[Wavelength]) -> f64 {
-        assert_eq!(wavelengths.len(), self.paths.len());
+        let (count, il_smax, sum_il_max) = self.eq8_terms(wavelengths);
+        count as f64 + il_smax + sum_il_max
+    }
+
+    /// The three Eq. 8 terms over the assigned entries: wavelength count
+    /// `i_wl`, worst-case loss `il^Smax` and `Σ_λ il_λ^max`, splitter
+    /// penalties included. Both maxima fold in ascending path order and
+    /// the sum runs over the used wavelengths in ascending order, so every
+    /// caller sees the same `f64` for the same vector.
+    fn eq8_terms(&self, wavelengths: &[Wavelength]) -> (usize, f64, f64) {
         let splitters = self.node_splitters(wavelengths);
-        let used: BTreeSet<Wavelength> = wavelengths.iter().copied().collect();
+        let n = wavelengths.len();
         let il = |i: usize| {
             self.paths[i].loss.0
                 + if splitters[self.paths[i].src.index()] {
@@ -106,22 +121,31 @@ impl AssignmentProblem {
                     0.0
                 }
         };
-        let il_smax = (0..self.paths.len()).map(il).fold(0.0, f64::max);
-        let sum_il_max: f64 = used
+        let used: BTreeSet<Wavelength> = wavelengths
+            .iter()
+            .copied()
+            .filter(|&w| w != UNASSIGNED)
+            .collect();
+        let il_smax = (0..n)
+            .filter(|&i| wavelengths[i] != UNASSIGNED)
+            .map(il)
+            .fold(0.0, f64::max);
+        let sum_il_max = used
             .iter()
             .map(|&w| {
-                (0..self.paths.len())
+                (0..n)
                     .filter(|&i| wavelengths[i] == w)
                     .map(il)
                     .fold(0.0, f64::max)
             })
             .sum();
-        used.len() as f64 + il_smax + sum_il_max
+        (used.len(), il_smax, sum_il_max)
     }
 
     /// Derives the node-splitter flags `b_sp` (Eq. 4) implied by a
     /// wavelength vector: a node needs a splitter iff one of its intra
-    /// paths and one of its inter paths share a wavelength.
+    /// paths and one of its inter paths share a wavelength. Unassigned
+    /// entries (`Wavelength(usize::MAX)`) share nothing.
     ///
     /// # Panics
     ///
@@ -131,7 +155,7 @@ impl AssignmentProblem {
         assert_eq!(wavelengths.len(), self.paths.len());
         let mut flags = vec![false; self.node_count];
         for i in 0..self.paths.len() {
-            if !self.paths[i].is_inter {
+            if !self.paths[i].is_inter || wavelengths[i] == UNASSIGNED {
                 continue;
             }
             for j in 0..self.paths.len() {
@@ -460,7 +484,6 @@ fn heuristic_assignment(
             .then(a.cmp(&b))
     });
 
-    const UNASSIGNED: Wavelength = Wavelength(usize::MAX);
     let mut assignment = vec![UNASSIGNED; n];
     let mut max_used = 0usize;
     for &p in &order {
@@ -473,7 +496,7 @@ fn heuristic_assignment(
                 continue;
             }
             assignment[p] = w;
-            let score = partial_objective(problem, &assignment);
+            let score = problem.objective(&assignment);
             assignment[p] = UNASSIGNED;
             let better = match best {
                 None => true,
@@ -529,101 +552,6 @@ fn heuristic_assignment(
         }
     }
     Ok(canonicalize(&assignment))
-}
-
-/// Eq. 8 objective over the assigned prefix (unassigned paths ignored).
-fn partial_objective(problem: &AssignmentProblem, assignment: &[Wavelength]) -> f64 {
-    const UNASSIGNED: Wavelength = Wavelength(usize::MAX);
-    let assigned: Vec<usize> = (0..assignment.len())
-        .filter(|&i| assignment[i] != UNASSIGNED)
-        .collect();
-    if assigned.is_empty() {
-        return 0.0;
-    }
-    // Splitter flags over the assigned subset.
-    let mut split = vec![false; problem.node_count];
-    for &i in &assigned {
-        if !problem.paths[i].is_inter {
-            continue;
-        }
-        for &j in &assigned {
-            if i != j
-                && !problem.paths[j].is_inter
-                && problem.paths[i].src == problem.paths[j].src
-                && assignment[i] == assignment[j]
-            {
-                split[problem.paths[i].src.index()] = true;
-            }
-        }
-    }
-    let il = |i: usize| {
-        problem.paths[i].loss.0
-            + if split[problem.paths[i].src.index()] {
-                problem.splitter_loss.0
-            } else {
-                0.0
-            }
-    };
-    let used: BTreeSet<Wavelength> = assigned.iter().map(|&i| assignment[i]).collect();
-    let il_smax = assigned.iter().map(|&i| il(i)).fold(0.0, f64::max);
-    let sum_il: f64 = used
-        .iter()
-        .map(|&w| {
-            assigned
-                .iter()
-                .filter(|&&i| assignment[i] == w)
-                .map(|&i| il(i))
-                .fold(0.0, f64::max)
-        })
-        .sum();
-    used.len() as f64 + il_smax + sum_il
-}
-
-/// The `Σ_λ il_max[λ]` term of Eq. 8 for a complete assignment: the sum
-/// over used wavelengths of the maximum member insertion loss, splitter
-/// penalties included (a source whose intra and inter senders share a
-/// wavelength taxes every path it drives). This is the exact quantity
-/// the MILP's `Σ il_max` takes at the corresponding integer point.
-fn sum_il_max(problem: &AssignmentProblem, assignment: &[Wavelength]) -> f64 {
-    const UNASSIGNED: Wavelength = Wavelength(usize::MAX);
-    let n = assignment.len();
-    let mut split = vec![false; problem.node_count];
-    for i in 0..n {
-        if !problem.paths[i].is_inter || assignment[i] == UNASSIGNED {
-            continue;
-        }
-        for j in 0..n {
-            if i != j
-                && !problem.paths[j].is_inter
-                && assignment[j] != UNASSIGNED
-                && problem.paths[i].src == problem.paths[j].src
-                && assignment[i] == assignment[j]
-            {
-                split[problem.paths[i].src.index()] = true;
-            }
-        }
-    }
-    let il = |i: usize| {
-        problem.paths[i].loss.0
-            + if split[problem.paths[i].src.index()] {
-                problem.splitter_loss.0
-            } else {
-                0.0
-            }
-    };
-    let used: BTreeSet<Wavelength> = assignment
-        .iter()
-        .copied()
-        .filter(|&w| w != Wavelength(usize::MAX))
-        .collect();
-    used.iter()
-        .map(|&w| {
-            (0..n)
-                .filter(|&i| assignment[i] == w)
-                .map(il)
-                .fold(0.0, f64::max)
-        })
-        .sum()
 }
 
 /// Exact guaranteed `Σ il_max` surplus over a clique's loss sum when the
@@ -703,7 +631,7 @@ fn pigeonhole_surplus(problem: &AssignmentProblem, set: &[usize]) -> f64 {
             // truncated list stay unassigned, which can only lower the
             // score (fewer co-locations, fewer maxima), keeping the
             // minimum a valid bound.
-            let mut assignment = vec![Wavelength(usize::MAX); problem.paths.len()];
+            let mut assignment = vec![UNASSIGNED; problem.paths.len()];
             let mut base = 0.0;
             for (i, &c) in set.iter().enumerate() {
                 assignment[c] = Wavelength(i);
@@ -712,7 +640,8 @@ fn pigeonhole_surplus(problem: &AssignmentProblem, set: &[usize]) -> f64 {
                     assignment[g] = Wavelength(i);
                 }
             }
-            let surplus = sum_il_max(problem, &assignment) - base;
+            let (_, _, sum_il_max) = problem.eq8_terms(&assignment);
+            let surplus = sum_il_max - base;
             if surplus < *best {
                 *best = surplus;
             }
@@ -1288,6 +1217,40 @@ mod tests {
                     .collect();
                 AssignmentProblem::new(5, paths, Decibels(3.1))
             })
+        }
+
+        proptest! {
+            // Solver-free, so cheap enough for many cases: the splitter
+            // corner (an unassigned intra/inter pair at a node that also
+            // has an assigned path) needs several to turn up.
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn prop_partial_scoring_matches_the_assigned_subproblem(
+                problem in arb_problem(),
+                raw in proptest::collection::vec((any::<bool>(), 0usize..4), 12),
+            ) {
+                let partial: Vec<Wavelength> = raw[..problem.paths().len()]
+                    .iter()
+                    .map(|&(assigned, w)| if assigned { Wavelength(w) } else { UNASSIGNED })
+                    .collect();
+                let kept: Vec<usize> = (0..partial.len())
+                    .filter(|&i| partial[i] != UNASSIGNED)
+                    .collect();
+                let sub = AssignmentProblem::new(
+                    problem.node_count,
+                    kept.iter().map(|&i| problem.paths()[i].clone()).collect(),
+                    problem.splitter_loss,
+                );
+                let sub_wavelengths: Vec<Wavelength> = kept.iter().map(|&i| partial[i]).collect();
+                let (count, il_smax, sum_il_max) = problem.eq8_terms(&partial);
+                let used: BTreeSet<Wavelength> = sub_wavelengths.iter().copied().collect();
+                prop_assert_eq!(count, used.len());
+                prop_assert_eq!(
+                    (count as f64 + il_smax + sum_il_max).to_bits(),
+                    sub.objective(&sub_wavelengths).to_bits()
+                );
+            }
         }
 
         proptest! {

@@ -316,42 +316,21 @@ fn power_proxy(solution: &Clustering, graph: &CommGraph) -> f64 {
     congestion * 10f64.powf(solution.longest_path.0 / 10.0)
 }
 
-/// Attempts clustering under a fixed `L_max`; `None` when the
+/// Attempts clustering under a fixed `L_max`; `Ok(None)` when the
 /// inter-cluster sub-ring cannot satisfy the bound from any initial vertex.
-/// [`cluster`] drives this over the binary-searched `L_max` candidates;
-/// calling it directly is useful for ablation studies.
+/// [`cluster_ctx`] drives this over the binary-searched `L_max` candidates;
+/// calling it directly is useful for ablation studies. The context's memo
+/// tier (if any) serves the pure construction units.
 ///
 /// Two cluster-selection criteria are tried — preferring the largest grown
 /// cluster (fewer inter-cluster nodes) and preferring the tightest one
 /// (shortest longest path) — and the valid solution with the shorter
 /// realized longest path wins.
-#[must_use]
-pub fn cluster_with_l_max(graph: &CommGraph, l_max: f64) -> Option<Clustering> {
-    try_cluster_with_l_max(graph, l_max).ok().flatten()
-}
-
-/// [`cluster_with_l_max`] with internal invariant violations surfaced as
-/// typed [`ClusterError`]s instead of being swallowed (or, historically,
-/// panicking). `Ok(None)` still means "no valid clustering under this
-/// bound".
 ///
 /// # Errors
 ///
 /// [`ClusterError::InvalidCycle`] when a sub-ring construction or
 /// refinement step violates a cycle invariant.
-pub fn try_cluster_with_l_max(
-    graph: &CommGraph,
-    l_max: f64,
-) -> Result<Option<Clustering>, ClusterError> {
-    try_cluster_with_l_max_ctx(graph, l_max, &ExecCtx::new())
-}
-
-/// [`try_cluster_with_l_max`] with an execution context whose memo tier
-/// (if any) serves the pure construction units; see [`cluster_ctx`].
-///
-/// # Errors
-///
-/// Same contract as [`try_cluster_with_l_max`].
 pub fn try_cluster_with_l_max_ctx(
     graph: &CommGraph,
     l_max: f64,

@@ -44,7 +44,6 @@ pub use comparison::{
 };
 pub use histogram::Histogram;
 pub use methods::{EvalError, Method};
-pub use par::resolve_threads;
 pub use random_baseline::{
     sample_random_solutions, sample_random_solutions_ctx, RandomSolutionConfig, RandomSolutionStats,
 };

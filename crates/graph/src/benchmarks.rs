@@ -144,6 +144,45 @@ impl std::fmt::Display for Benchmark {
     }
 }
 
+impl std::str::FromStr for Benchmark {
+    type Err = ParseBenchmarkError;
+
+    /// Parses a benchmark name, ignoring ASCII case and dashes: `8PM-24`,
+    /// `8pm-24` and `8pm24` all name [`Benchmark::Pm8x24`].
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        fn fold(s: &str) -> impl Iterator<Item = u8> + '_ {
+            s.bytes()
+                .filter(|&c| c != b'-')
+                .map(|c| c.to_ascii_lowercase())
+        }
+        Benchmark::ALL
+            .into_iter()
+            .find(|b| fold(b.name()).eq(fold(name)))
+            .ok_or_else(|| ParseBenchmarkError {
+                name: name.to_string(),
+            })
+    }
+}
+
+/// A name that matches none of [`Benchmark::ALL`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseBenchmarkError {
+    name: String,
+}
+
+impl std::fmt::Display for ParseBenchmarkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown benchmark `{}` (expected one of ", self.name)?;
+        for (i, b) in Benchmark::ALL.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{b}")?;
+        }
+        f.write_str(")")
+    }
+}
+
+impl std::error::Error for ParseBenchmarkError {}
+
 fn grid_builder(
     name: &str,
     grid: GridPlacement,
@@ -566,6 +605,19 @@ mod tests {
             assert_eq!(g.message_count(), b.message_count(), "{b} message count");
             assert_eq!(g.name(), b.name());
         }
+    }
+
+    #[test]
+    fn names_round_trip_and_parse_loosely() {
+        for b in Benchmark::ALL {
+            assert_eq!(b.to_string().parse::<Benchmark>(), Ok(b));
+        }
+        assert_eq!("8pm24".parse::<Benchmark>(), Ok(Benchmark::Pm8x24));
+        assert_eq!("8PM-24".parse::<Benchmark>(), Ok(Benchmark::Pm8x24));
+        assert_eq!("mwd".parse::<Benchmark>(), Ok(Benchmark::Mwd));
+        let err = "8pm-25".parse::<Benchmark>().unwrap_err();
+        assert!(err.to_string().contains("`8pm-25`"), "{err}");
+        assert!("".parse::<Benchmark>().is_err());
     }
 
     #[test]

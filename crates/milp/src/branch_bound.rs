@@ -8,10 +8,11 @@
 //! [`crate::simplex::LpOptions`]), so a single long LP
 //! relaxation cannot blow the budget.
 //!
-//! With [`SolveOptions::threads`] above one the tree search runs on a
-//! work-sharing worker pool (see [`crate::parallel`]): a shared open-node
-//! pool, a mutex-protected incumbent with an atomic best-objective mirror
-//! for lock-free pruning, and one reusable simplex workspace per worker.
+//! The tree search itself lives in [`crate::parallel`]: one worker loop
+//! over a shared open-node pool, run on the calling thread at one thread
+//! and on a scoped worker pool above that (see [`SolveOptions::threads`]).
+//! This module holds what that loop calls — node evaluation, branching,
+//! the final assembly — and the canonical polish pass.
 
 use crate::model::{Model, ModelError, VarType};
 use crate::simplex::{
@@ -392,7 +393,7 @@ pub(crate) struct Node {
 /// directions default to the same constant — which makes the product
 /// score collapse to `f·(1 − f)`, i.e. plain most-fractional branching.
 ///
-/// Each worker keeps its own table (inside [`WorkerScratch`]): serial
+/// Each worker keeps its own table (inside [`WorkerScratch`]): one-worker
 /// searches stay bit-reproducible, and parallel workers avoid contending
 /// on a shared table at the cost of each learning independently.
 #[derive(Default)]
@@ -527,8 +528,8 @@ fn build_lp(model: &Model) -> LpProblem {
     }
 }
 
-/// Immutable per-search context shared by the serial loop and every
-/// parallel worker.
+/// Immutable per-search context shared by every search worker and the
+/// canonical polish pass.
 pub(crate) struct SearchCtx<'a> {
     pub(crate) model: &'a Model,
     pub(crate) lp: &'a LpProblem,
@@ -823,8 +824,8 @@ pub(crate) fn evaluate_node(
 /// branch variable (from the caller's [`WorkerScratch`], still loaded
 /// from evaluating this node); `basis` is the node's optimal basis to
 /// inherit. Node ids come from `next_seq` — always two ids per branching
-/// (down first), even for a child whose bounds cross, so serial ids are
-/// reproducible.
+/// (down first), even for a child whose bounds cross, so one-worker ids
+/// are reproducible.
 pub(crate) fn make_children(
     node: &Node,
     j: usize,
@@ -860,8 +861,8 @@ pub(crate) fn make_children(
 pub(crate) struct SearchEnd {
     pub(crate) incumbent: Option<(f64, Vec<f64>)>,
     /// Minimum bound over all nodes left open: the heap remainder plus any
-    /// subtree dropped on numerical trouble or an interrupted dive. `+inf`
-    /// when the tree was exhausted.
+    /// subtree dropped on numerical trouble or left unexplored within
+    /// `1e-9` of the incumbent. `+inf` when the tree was exhausted.
     pub(crate) open_bound: f64,
     pub(crate) limit_hit: bool,
     pub(crate) nodes_explored: usize,
@@ -966,13 +967,8 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
         frac: 0.0,
     };
 
-    let threads = options.effective_threads();
     let warm_obj = incumbent.as_ref().map(|(obj, _)| *obj);
-    let end = if threads > 1 {
-        crate::parallel::search(&ctx, root, incumbent, threads)?
-    } else {
-        search_serial(&ctx, root, incumbent)
-    };
+    let end = crate::parallel::search(&ctx, root, incumbent, options.effective_threads())?;
     // A search-found optimum is re-derived as a pure function of the model
     // (see `polish_canonical`): among tied optima, which one the search
     // happens to keep depends on worker timing in parallel mode, so the
@@ -1076,108 +1072,6 @@ fn polish_canonical(
     }
     stats.merge(&scratch.stats);
     found.map(|values| (values, nodes))
-}
-
-fn search_serial(
-    ctx: &SearchCtx<'_>,
-    root: Node,
-    mut incumbent: Option<(f64, Vec<f64>)>,
-) -> SearchEnd {
-    let mut heap = BinaryHeap::new();
-    let mut next_seq = root.seq;
-    heap.push(root);
-
-    let mut scratch = WorkerScratch::new();
-    let mut nodes_explored = 0usize;
-    let mut limit_hit = false;
-    // Minimum bound over subtrees dropped without exploration (LP
-    // iteration limit / deadline, non-root unbounded): the reported global
-    // bound must not claim more than these subtrees allow.
-    let mut lost_bound = f64::INFINITY;
-    let mut root_unbounded = false;
-    let mut root_iteration_limit = false;
-
-    while let Some(node) = heap.pop() {
-        // Prune against the incumbent (best-first: once the best open bound
-        // cannot improve, the search is done).
-        if let Some((inc_obj, _)) = &incumbent {
-            // Both forms of the 1e-9 test: they round differently.
-            if node.bound >= *inc_obj - 1e-9 || *inc_obj - node.bound <= 1e-9 {
-                break;
-            }
-        }
-        if ctx.time_limit_reached() || ctx.node_limit_reached(nodes_explored) {
-            // The popped node is still open: put it back so its bound
-            // counts toward the reported global bound.
-            limit_hit = true;
-            heap.push(node);
-            break;
-        }
-        nodes_explored += 1;
-
-        let inc_obj = incumbent.as_ref().map(|(obj, _)| *obj);
-        match evaluate_node(ctx, &node, inc_obj, &mut scratch) {
-            NodeOutcome::Infeasible => {}
-            NodeOutcome::LpTrouble(status) => {
-                // Numerical trouble or deadline in this subtree: it stays
-                // unexplored, so fold its bound into the reported one.
-                if node.depth == 0 && status == LpStatus::IterationLimit {
-                    root_iteration_limit = true;
-                    break;
-                }
-                limit_hit = true;
-                lost_bound = lost_bound.min(node.bound);
-            }
-            NodeOutcome::Unbounded => {
-                if node.depth == 0 {
-                    root_unbounded = true;
-                    break;
-                }
-                limit_hit = true;
-                lost_bound = lost_bound.min(node.bound);
-            }
-            NodeOutcome::PrunedByBound => {}
-            NodeOutcome::Integral { obj, values } => {
-                let better = match &incumbent {
-                    None => true,
-                    Some((inc_obj, _)) => obj < *inc_obj - 1e-12,
-                };
-                if better {
-                    incumbent = Some((obj, values));
-                }
-            }
-            NodeOutcome::Branched {
-                lp_obj,
-                var,
-                x,
-                basis,
-            } => {
-                let bounds_var = (scratch.lower[var], scratch.upper[var]);
-                let (down, up) =
-                    make_children(&node, var, x, lp_obj, bounds_var, basis, &mut next_seq);
-                if let Some(child) = down {
-                    heap.push(child);
-                }
-                if let Some(child) = up {
-                    heap.push(child);
-                }
-            }
-        }
-    }
-
-    let open_bound = heap
-        .peek()
-        .map_or(f64::INFINITY, |n| n.bound)
-        .min(lost_bound);
-    SearchEnd {
-        incumbent,
-        open_bound,
-        limit_hit,
-        nodes_explored,
-        root_unbounded,
-        root_iteration_limit,
-        stats: scratch.stats,
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
-//! Work-sharing parallel branch-and-bound.
+//! The branch-and-bound tree search, for every thread count.
 //!
-//! The open-node pool ([`BinaryHeap`] with the same fixed
-//! `(bound, depth, id)` ordering as the serial search) lives behind one
-//! mutex together with the incumbent and the search counters. Workers pop
-//! a node, solve its LP relaxation *outside* the lock — each worker owns a
-//! reusable [`crate::simplex::SimplexWorkspace`], so the factorization
-//! buffers are allocated once per thread, not once per node — and re-lock
-//! only to apply the outcome.
+//! The open-node pool ([`BinaryHeap`] with the fixed `(bound, depth, seq)`
+//! ordering) lives behind one mutex together with the incumbent and the
+//! search counters. A worker pops a node, solves its LP relaxation
+//! *outside* the lock — each worker owns a reusable
+//! [`crate::simplex::SimplexWorkspace`], so the factorization buffers are
+//! allocated once per worker, not once per node — and re-locks only to
+//! apply the outcome. At one thread the single worker runs on the calling
+//! thread; above one, the workers run on a scoped pool.
 //!
 //! The incumbent objective is mirrored into an [`AtomicU64`] (its `f64`
 //! bit pattern) so a worker about to start an LP solve can read the
@@ -15,13 +16,14 @@
 //!
 //! Termination: the search is over when the pool is empty *and* no worker
 //! is mid-evaluation (`in_flight == 0`) — an in-flight node may still
-//! push children. Workers with nothing to do park on a [`Condvar`].
+//! push children. Workers with nothing to do park on a [`Condvar`]; a lone
+//! worker never does, since nothing else can be in flight.
 //!
 //! Every child goes through the shared pool, so the set of explored
-//! subtrees is governed purely by bounds and the search provably returns
-//! the serial objective whenever it runs to completion; the canonical
-//! polish in [`crate::branch_bound`] then makes the returned vector
-//! independent of the thread count too.
+//! subtrees is governed purely by bounds and a search that runs to
+//! completion returns the same objective at every thread count; the
+//! canonical polish in [`crate::branch_bound`] then makes the returned
+//! vector independent of the thread count too.
 
 use crate::branch_bound::{
     evaluate_node, make_children, Node, NodeOutcome, SearchCtx, SearchEnd, SolveStats,
@@ -81,8 +83,7 @@ impl Shared {
 /// Why a popped node is being discarded unexplored.
 enum Drop {
     /// Bound within `1e-9` of the incumbent: cannot meaningfully improve.
-    /// Not folded into the reported bound (same tolerance the serial
-    /// search accepts when it stops on a pruned pool top).
+    /// Not folded into the reported bound.
     Prune,
     /// Within `1e-9` of the incumbent by difference but not by the prune
     /// test above (the two round differently): left open, so its bound
@@ -132,11 +133,15 @@ pub(crate) fn search(
         best_obj_bits: AtomicU64::new(best_bits),
     };
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| worker(ctx, &shared));
-        }
-    });
+    if threads > 1 {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| worker(ctx, &shared));
+            }
+        });
+    } else {
+        worker(ctx, &shared);
+    }
 
     // A worker panic would normally re-raise through the scope above; a
     // poisoned state reached without one still must not panic here — it

@@ -227,7 +227,8 @@ pub fn write_message(
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// A named paper benchmark (`MWD`, `VOPD`, `MPEG`, `D26`, `8PM-24`,
-    /// `8PM-32`, `8PM-44`), matched case-insensitively.
+    /// `8PM-32`, `8PM-44`), resolved by `Benchmark`'s `FromStr`: case and
+    /// dashes are ignored.
     Benchmark(String),
     /// A deterministic synthetic application graph
     /// (`onoc_graph::synth::random_app`).

@@ -595,12 +595,9 @@ fn run_job(
 fn execute_workload(shared: &Arc<Shared>, spec: &JobSpec, ctx: &ExecCtx) -> Outcome {
     match &spec.workload {
         Workload::Sleep { millis } => run_sleep(*millis, ctx),
-        Workload::Benchmark(name) => match benchmark_by_name(name) {
-            Some(benchmark) => run_synthesis(shared, &benchmark.graph(), spec.strategy, spec, ctx),
-            None => Outcome::Failed(format!(
-                "unknown benchmark {name:?} (expected one of {})",
-                Benchmark::ALL.map(Benchmark::name).join(", ")
-            )),
+        Workload::Benchmark(name) => match name.parse::<Benchmark>() {
+            Ok(benchmark) => run_synthesis(shared, &benchmark.graph(), spec.strategy, spec, ctx),
+            Err(e) => Outcome::Failed(e.to_string()),
         },
         Workload::Random {
             nodes,
@@ -624,12 +621,6 @@ fn execute_workload(shared: &Arc<Shared>, spec: &JobSpec, ctx: &ExecCtx) -> Outc
         }
         Workload::Delta { base, deltas } => run_delta(shared, base, deltas, spec, ctx),
     }
-}
-
-fn benchmark_by_name(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
 }
 
 fn run_sleep(millis: u64, ctx: &ExecCtx) -> Outcome {

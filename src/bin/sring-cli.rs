@@ -158,21 +158,11 @@ impl Args {
     }
 }
 
-fn benchmark_by_name(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        b.name().eq_ignore_ascii_case(name)
-            || b.name()
-                .replace('-', "")
-                .eq_ignore_ascii_case(&name.replace('-', ""))
-    })
-}
-
 fn load_app(args: &Args) -> Result<CommGraph, String> {
     let name = args
         .value("benchmark")?
         .ok_or_else(|| "missing --benchmark".to_string())?;
-    let b = benchmark_by_name(name)
-        .ok_or_else(|| format!("unknown benchmark `{name}` (try `sring-cli list`)"))?;
+    let b = name.parse::<Benchmark>().map_err(|e| e.to_string())?;
     match args.value("pitch")? {
         Some(p) => {
             let pitch: f64 = p.parse().map_err(|_| format!("bad --pitch `{p}`"))?;
